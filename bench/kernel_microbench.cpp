@@ -8,8 +8,9 @@
 //
 //   --emit-json=F   the repeatable before/after harness: times the dense
 //                   reference engine against the event-sparse engine on
-//                   four pinned operating points (low load, saturation,
-//                   faulty adaptive) and writes machine-readable JSON
+//                   five pinned operating points (low load, two saturation
+//                   knees, faulty adaptive, and fault recovery on two-word
+//                   3-cube routers) and writes machine-readable JSON
 //                   (schema swft-bench-engine-v1, see README.md). The two
 //                   saturation points additionally run a sparse-mt
 //                   thread-scaling sweep (sim_threads 1/2/4/8) recording
@@ -342,6 +343,22 @@ std::vector<OperatingPoint> operatingPoints() {
     p.cfg.routing = RoutingMode::Adaptive;
     p.cfg.faults.randomNodes = 10;
     p.cfg.reinjectDelay = 20;
+    points.push_back(p);
+  }
+
+  // Fig. 7-style fault recovery on the paper's 3-cube router shape: 7 ports
+  // x V=10 = 70 input units per router, so every router row spans two
+  // occupancy words and the batched link pass runs its W=2 instantiation —
+  // the only point here with more than 64 units per router.
+  {
+    OperatingPoint p{"fault_recovery_8ary3", {}, 3000, 4'000};
+    p.cfg.radix = 8;
+    p.cfg.dims = 3;
+    p.cfg.vcs = 10;
+    p.cfg.messageLength = 32;
+    p.cfg.injectionRate = 0.007;
+    p.cfg.routing = RoutingMode::Adaptive;
+    p.cfg.faults.randomNodes = 8;
     points.push_back(p);
   }
 

@@ -146,16 +146,38 @@ void Network::advanceCycleSparse() {
   // lies *later* in sweep order than the router that caused it, i.e. at or
   // after the scan position; a word skipped as zero can only have gained
   // bits the dense sweep would also skip this cycle.
+  //
+  // The walk and the router step are instantiated per router row width W
+  // (occupancy words per router, fixed by the arena geometry), so the
+  // switch below is the only place the width is tested — once per cycle,
+  // never per router.
+  SWFT_EC_TSC(tWalk, switch (arena_.occWordsPerRouter()) {
+    case 1: walkRouters<1>(); break;
+    case 2: walkRouters<2>(); break;
+    case 3: walkRouters<3>(); break;
+    case 4: walkRouters<4>(); break;
+    default:
+      assert(arena_.occWordsPerRouter() == kMaxRowWords);
+      walkRouters<kMaxRowWords>();
+      break;
+  });
+  // Cycle-end boundary: mature the freshness snapshots (fronts pushed this
+  // cycle become eligible next cycle) after the last push/pop of the cycle.
+  SWFT_EC_TSC(tOther, arena_.matureFreshness());
+  clock.mark(PhaseBreakdown::kWalk);
+}
+
+template <int W>
+void Network::walkRouters() {
   const std::vector<std::uint64_t>& active = arena_.activeWords();
-  const bool forward = (cycle_ & 1) == 0;
-  SWFT_EC_TSC(tWalk, if (forward) {
+  if ((cycle_ & 1) == 0) {
     for (std::size_t w = simd::findNonZero(active.data(), 0, active.size());
          w < active.size();
          w = simd::findNonZero(active.data(), w + 1, active.size())) {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = std::countr_zero(bits);
-        stepRouter(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+        stepRouter<W>(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
         bits = (b == 63) ? 0 : (active[w] & (~0ULL << (b + 1)));
       }
     }
@@ -166,15 +188,11 @@ void Network::advanceCycleSparse() {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = 63 - std::countl_zero(bits);
-        stepRouter(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+        stepRouter<W>(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
         bits = active[w] & ((1ULL << b) - 1);
       }
     }
-  });
-  // Cycle-end boundary: mature the freshness snapshots (fronts pushed this
-  // cycle become eligible next cycle) after the last push/pop of the cycle.
-  SWFT_EC_TSC(tOther, arena_.matureFreshness());
-  clock.mark(PhaseBreakdown::kWalk);
+  }
 }
 
 void Network::stepGeneration(NodeId id) {
@@ -355,12 +373,12 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
   arena_.setOutOwner(id, outPort, outVc, static_cast<std::int16_t>(unitIdx));
 }
 
+template <int W>
 void Network::stepRouter(NodeId id) {
   SWFT_EC_ADD(routers, 1);
   const int localPort = networkPorts_;
   const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
   const int routerBase = arena_.base(id);
-  const int occW = arena_.occWordsPerRouter();
   const std::uint64_t* occ = arena_.occWords(id);
 
   // Phase A: route computation + VC allocation for occupied unrouted heads,
@@ -368,7 +386,7 @@ void Network::stepRouter(NodeId id) {
   // step, so the order must match the dense reference scan exactly.
   const std::uint64_t* routedW = arena_.routedWords(id);
   SWFT_EC_TSC(tPhaseA, {
-    for (int w = 0; w < occW; ++w) {
+    for (int w = 0; w < W; ++w) {
       std::uint64_t bits = occ[w] & ~routedW[w];
       while (bits) {
         const int unitIdx = w * 64 + std::countr_zero(bits);
@@ -383,12 +401,11 @@ void Network::stepRouter(NodeId id) {
   });
 
   // Phase B: the batched link pass. One pass per output link, ascending port
-  // order with the ejection port last: the link's candidate set is a single
-  // request-mask word ANDed with the occupancy word, its downstream credit
-  // line is hoisted once (the V downstream buffer sizes are contiguous
-  // uint16s), and the first eligible candidate in circular round-robin order
-  // from the port cursor — exactly the min-key winner of the dense
-  // reference's full scan — commits immediately.
+  // order with the ejection port last: the link's candidates are its
+  // membership row ANDed with the router's qualification row, and the first
+  // eligible candidate in circular round-robin order from the port cursor —
+  // exactly the min-key winner of the dense reference's full scan — commits
+  // immediately.
   //
   // Fusing selection and commit per link is legal because links of one
   // router cannot interfere: a commit on port p pops a unit that requests
@@ -400,86 +417,46 @@ void Network::stepRouter(NodeId id) {
   // select-all-then-commit pass would read. The ejection port commits last
   // so software-layer RNG draws (absorption replanning) stay in the dense
   // engine's position in the stream.
-  if (occW == 1) {
-    // Every router configuration with <= 64 input units. Qualification is
-    // three row loads and two word ANDs against the arena's incrementally
-    // maintained bitmaps — ok = fresh & downOk (freshness and mapped
-    // downstream credit, each a superset-pruned subset of live), bucketed
-    // per output port by the SIMD membership sweep. Reading all
-    // qualifications from pre-commit state is legal by the non-interference
-    // argument above: no commit on port p changes port q's candidates, their
-    // arrival stamps, or their downstream credit line. occW == 1 bounds the
-    // unit count by 64 and hence the port count by 64 / vcs. The pass lives
-    // in link_qual.hpp, shared with the sparse-mt engine's P1
-    // precomputation, and owns the okp rows outright (no zeroing prelude).
-    std::uint64_t okp[64];
-    std::uint64_t pm;
-    SWFT_EC_TSC(tQual,
-                pm = qualifyLinkCandidates(arena_, id, okp, localPort + 1));
-    SWFT_EC_ADD(okIters, std::popcount(occ[0] & routedW[0]));
-    // Commit winners in ascending port order, ejection (the highest port)
-    // last. Per port, the first qualified bit in circular round-robin order
-    // from the cursor is picked with one rotate: rotr moves bit u to
-    // (u - cur) mod 64, so the lowest rotated bit is exactly the min-key
-    // winner of the dense reference's scan.
-    const int unitCount = arena_.unitsPerRouter();
-    SWFT_EC_TSC(tWinners, while (pm != 0) {
-      SWFT_EC_ADD(livePorts, 1);
-      const int port = std::countr_zero(pm);
-      pm &= pm - 1;
-      const int cur = arena_.cursor(id, port);
-      const std::uint64_t rot = std::rotr(okp[port], cur);
-      const int winnerIdx = (cur + std::countr_zero(rot)) & 63;
-      if (port == localPort) {
-        arena_.setCursor(id, port,
-                         static_cast<std::uint16_t>(
-                             winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-        SWFT_EC_ADD(ejections, 1);
-        SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
-      } else {
-        SWFT_EC_ADD(commits, 1);
-        commitLink(id, port, winnerIdx);
-      }
-    });
-    return;
-  }
-
-  // Generic multi-word path (routers with more than 64 input units, e.g. a
-  // 3-cube with V = 10): same per-link batching, candidate words walked
-  // circularly from the cursor word, qualified by the same bitmap ANDs as
-  // the one-word fast path (fresh & downOk; membership plays the role of
-  // the request mask).
+  //
+  // Qualification is row loads and word ANDs against the arena's
+  // incrementally maintained bitmaps — ok = fresh & downOk (freshness and
+  // mapped downstream credit, each a superset-pruned subset of live), then
+  // okp[port] = ok & portMembers[port] by the SIMD membership sweep, W words
+  // per row. Reading all qualifications from pre-commit state is legal by
+  // the non-interference argument above: no commit on port p changes port
+  // q's candidates, their arrival stamps, or their downstream credit line.
+  // The pass lives in link_qual.hpp, shared with the sparse-mt engine's P1
+  // precomputation, and owns the okp rows outright (no zeroing prelude).
+  std::uint64_t okp[kMaxRouterPorts * W];
+  std::uint64_t pm;
+  SWFT_EC_TSC(tQual,
+              pm = qualifyLinkCandidates<W>(arena_, id, okp, localPort + 1));
+  SWFT_EC_ADD(okIters, [&] {
+    int n = 0;
+    for (int w = 0; w < W; ++w) n += std::popcount(occ[w] & routedW[w]);
+    return n;
+  }());
+  // Commit winners in ascending port order (only ports with a qualified
+  // candidate), ejection (the highest port) last. Per port the winner is
+  // taken with one rotate of the W x 64-bit row from the cursor — see
+  // pickCircular for why that is the dense min-key winner.
   const int unitCount = arena_.unitsPerRouter();
-  const std::uint64_t* freshW = arena_.freshWords(id);
-  const std::uint64_t* downOkW = arena_.downOkWords(id);
-  for (int port = 0; port <= localPort; ++port) {
-    const std::uint64_t* req = arena_.portMembers(id, port);
-    const bool isLocal = port == localPort;
-    const int cur = arena_.cursor(id, port);
-    const int cw = cur >> 6;
-    const int cb = cur & 63;
-    int winnerIdx = -1;
-    for (int k = 0; k <= occW && winnerIdx < 0; ++k) {
-      int w = cw + k;
-      if (w >= occW) w -= occW;
-      std::uint64_t m = req[w] & freshW[w] & downOkW[w];
-      if (k == 0) {
-        m &= ~0ULL << cb;
-      } else if (k == occW) {
-        m &= (cb == 0) ? 0 : ((1ULL << cb) - 1);  // wrapped tail of cursor word
-      }
-      if (m != 0) winnerIdx = w * 64 + std::countr_zero(m);
-    }
-    if (winnerIdx < 0) continue;
-    if (isLocal) {
+  SWFT_EC_TSC(tWinners, while (pm != 0) {
+    SWFT_EC_ADD(livePorts, 1);
+    const int port = std::countr_zero(pm);
+    pm &= pm - 1;
+    const int winnerIdx = pickCircular<W>(okp + port * W, arena_.cursor(id, port));
+    if (port == localPort) {
       arena_.setCursor(id, port,
                        static_cast<std::uint16_t>(
                            winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-      ejectFlit(id, winnerIdx);
+      SWFT_EC_ADD(ejections, 1);
+      SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
     } else {
+      SWFT_EC_ADD(commits, 1);
       commitLink(id, port, winnerIdx);
     }
-  }
+  });
 }
 
 inline void Network::commitLink(NodeId id, int port, int winnerIdx) {

@@ -57,9 +57,9 @@ MtEngine::MtEngine(Network& net, int simThreads)
   lqMetaStore_.resize(static_cast<std::size_t>(nodes) * kMStride + kMStride, 0);
   const auto addr = reinterpret_cast<std::uintptr_t>(lqMetaStore_.data());
   lqMeta_ = lqMetaStore_.data() + ((64 - addr % 64) % 64) / sizeof(std::uint64_t);
-  // Link cards exist only for the single-occupancy-word configurations the
-  // batched pass covers; the generic multi-word path re-qualifies in the
-  // baton as before.
+  // Link cards exist only for single-occupancy-word routers (the W = 1
+  // instantiation of the shared pass); on wider routers this engine's
+  // generic multi-word path re-qualifies in the baton.
   injUnitFloor_ = net_.networkPorts_ * net_.cfg_.vcs;
   portOfUnit_.resize(static_cast<std::size_t>(net_.arena_.unitsPerRouter()));
   for (int u = 0; u < net_.arena_.unitsPerRouter(); ++u) {

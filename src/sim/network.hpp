@@ -117,9 +117,15 @@ class Network {
   // its work bit; the event source re-arms it (generation: stepGeneration,
   // buffer drain: commitLink/ejectFlit).
   bool stepInjection(NodeId id);
-  // Single pass per router: route computation + VC allocation for unrouted
-  // headers, then the batched link pass (per-link switch arbitration fused
-  // with the traversal commit; see engine.cpp).
+  // The sparse router walk over the live active set, and its per-router
+  // step: route computation + VC allocation for unrouted headers, then the
+  // batched link pass (per-link switch arbitration fused with the traversal
+  // commit; see engine.cpp). Both are instantiated per router row width
+  // W = arena_.occWordsPerRouter() (1..kMaxRowWords); advanceCycleSparse
+  // picks the instantiation once per cycle.
+  template <int W>
+  void walkRouters();
+  template <int W>
   void stepRouter(NodeId id);
   // Winner commit for one network link: advance the round-robin cursor, pop
   // at the winner unit, push into the hoisted downstream unit, release the

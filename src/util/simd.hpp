@@ -1,7 +1,7 @@
 // Thin SIMD layer for the engine's multi-word row sweeps: active-set and
 // work-set walks (find the next/previous nonzero word) and the
-// switch-allocation port sweep (AND one qualified mask against consecutive
-// per-port membership rows).
+// switch-allocation port sweep (AND one qualified router row against
+// consecutive per-port membership rows, for rows of one or several words).
 //
 // Implementation: GCC/Clang generic vector extensions (vector_size), which
 // compile to whatever the target ISA offers (SSE2/AVX2/NEON/...) and to
@@ -149,6 +149,49 @@ inline constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     pm |= static_cast<std::uint64_t>(q != 0) << p;
   }
   return pm;
+}
+
+/// The port sweep over W-word rows: okp[p*W + w] = ok[w] & members[p*W + w]
+/// for p in [0, ports), over `ports` consecutive W-word membership rows.
+/// Returns the port mask with bit p set iff any word of okp's row p is
+/// nonzero. W == 1 is qualifyPorts itself. The sweep treats the rows as one
+/// flat array of ports*W words whose mask operand repeats ok with period W,
+/// so the vector path ANDs 4-word strides against that pattern (lane l of
+/// stride j holds ok[(4j + l) % W], which repeats every W strides) and the
+/// scalar tail finishes mid-row where needed.
+template <int W>
+[[nodiscard]] inline std::uint64_t qualifyPortRows(const std::uint64_t* ok,
+                                                   const std::uint64_t* members,
+                                                   std::uint64_t* okp,
+                                                   int ports) noexcept {
+  if constexpr (W == 1) {
+    return qualifyPorts(ok[0], members, okp, ports);
+  } else {
+    const int n = ports * W;
+    int i = 0;
+#if SWFT_SIMD_VEC
+    if (!forceScalar()) {
+      V4 okv[W];
+      for (int j = 0; j < W; ++j) {
+        for (int l = 0; l < 4; ++l) okv[j][l] = ok[(4 * j + l) % W];
+      }
+      for (int j = 0; i + 4 <= n; i += 4, j = (j + 1 == W) ? 0 : j + 1) {
+        V4 m;
+        std::memcpy(&m, members + i, sizeof m);
+        const V4 q = m & okv[j];
+        std::memcpy(okp + i, &q, sizeof q);
+      }
+    }
+#endif
+    for (; i < n; ++i) okp[i] = ok[i % W] & members[i];
+    std::uint64_t pm = 0;
+    for (int p = 0; p < ports; ++p) {
+      std::uint64_t any = 0;
+      for (int w = 0; w < W; ++w) any |= okp[p * W + w];
+      pm |= static_cast<std::uint64_t>(any != 0) << p;
+    }
+    return pm;
+  }
 }
 
 }  // namespace swft::simd

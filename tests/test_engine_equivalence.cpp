@@ -30,6 +30,10 @@ struct EngineCase {
   RoutingMode routing;
   int randomFaults;
   double rate;
+  // Geometry: the 8-ary 2-cube at V=4 unless a case says otherwise.
+  int radix = 8;
+  int dims = 2;
+  int vcs = 4;
 };
 
 const EngineCase kCases[] = {
@@ -47,13 +51,18 @@ const EngineCase kCases[] = {
      0.006},
     {"transpose_adp_faulty", TrafficPattern::Transpose, RoutingMode::Adaptive, 5,
      0.005},
+    // Two-word router rows: a 3-cube router has 7 ports, so V=10 gives 70
+    // input units — the paper's fault-experiment router shape, and the
+    // batched link pass's W=2 instantiation.
+    {"multiword_adp_faulty", TrafficPattern::Uniform, RoutingMode::Adaptive, 3,
+     0.008, 4, 3, 10},
 };
 
 SimConfig caseConfig(const EngineCase& c) {
   SimConfig cfg;
-  cfg.radix = 8;
-  cfg.dims = 2;
-  cfg.vcs = 4;
+  cfg.radix = c.radix;
+  cfg.dims = c.dims;
+  cfg.vcs = c.vcs;
   cfg.messageLength = 16;
   cfg.pattern = c.pattern;
   cfg.routing = c.routing;
@@ -135,12 +144,14 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
 // Recorded reference values for every equivalence-matrix case, captured from
 // the dense reference engine (seed semantics plus the two ISSUE-2 injection
 // fixes: peek-don't-pop requeue and the single unsigned VC-rotation draw).
-// The first and last rows date from the PR that introduced the event-sparse
-// engine; the other six were recorded — from the dense oracle, unchanged by
-// that PR — when the batched link pass landed, so every matrix corner is now
-// pinned, not just compared engine-to-engine. Any change to these numbers
-// means the engine's observable behaviour drifted — deliberate changes must
-// re-record and justify in the commit message.
+// The uniform_det_faultfree and transpose_adp_faulty rows date from the PR
+// that introduced the event-sparse engine; the other six 2-cube rows were
+// recorded — from the dense oracle, unchanged by that PR — when the batched
+// link pass landed, so every matrix corner is now pinned, not just compared
+// engine-to-engine. The multiword row was recorded from the dense oracle
+// when routers wider than one occupancy word joined the batched pass. Any
+// change to these numbers means the engine's observable behaviour drifted —
+// deliberate changes must re-record and justify in the commit message.
 struct GoldenRecord {
   const char* name;
   std::uint64_t cycles;
@@ -162,6 +173,7 @@ const GoldenRecord kGolden[] = {
     {"transpose_det_faulty",    3864, 906, 900, 700, 442, 52.297142857142823, 5.654285714285713},
     {"transpose_adp_faultfree", 2712, 910, 900, 700,   0, 25.731428571428562, 4.742857142857142},
     {"transpose_adp_faulty",    3849, 904, 900, 700, 157, 34.092857142857142, 5.1085714285714285},
+    {"multiword_adp_faulty",    1818, 923, 901, 701,  17, 26.201141226818834, 3.0684736091298133},
 };
 // clang-format on
 
@@ -384,17 +396,7 @@ void checkConservation(const Network& dense, const Network& sparse, int cycle) {
   }
 }
 
-TEST(EngineEquivalence, LockstepCountersAndInvariants) {
-  SimConfig cfg;
-  cfg.radix = 4;
-  cfg.dims = 2;
-  cfg.vcs = 2;
-  cfg.messageLength = 8;
-  cfg.injectionRate = 0.02;
-  cfg.warmupMessages = 0;
-  cfg.measuredMessages = ~std::uint32_t{0};
-  cfg.seed = 11;
-
+void runLockstep(const SimConfig& cfg) {
   SimConfig denseCfg = cfg;
   denseCfg.engine = EngineKind::Dense;
   SimConfig sparseCfg = cfg;
@@ -431,6 +433,79 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
       ASSERT_EQ(sparse.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(mt.validateInvariants(), "") << "cycle " << c;
     }
+  }
+}
+
+TEST(EngineEquivalence, LockstepCountersAndInvariants) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 2;
+  cfg.messageLength = 8;
+  cfg.injectionRate = 0.02;
+  cfg.warmupMessages = 0;
+  cfg.measuredMessages = ~std::uint32_t{0};
+  cfg.seed = 11;
+  runLockstep(cfg);
+}
+
+// The same lockstep on two-word router rows (4-ary 3-cube, V=10: 70 units
+// per router) with faults, so the W=2 link pass, the cross-word round-robin
+// pick and absorption/re-injection all run under the per-cycle mask audit.
+TEST(EngineEquivalence, LockstepCountersAndInvariantsTwoWordRows) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 3;
+  cfg.vcs = 10;
+  cfg.messageLength = 8;
+  cfg.injectionRate = 0.03;
+  cfg.routing = RoutingMode::Adaptive;
+  cfg.faults.randomNodes = 3;
+  cfg.reinjectDelay = 20;
+  cfg.warmupMessages = 0;
+  cfg.measuredMessages = ~std::uint32_t{0};
+  cfg.seed = 13;
+  ASSERT_EQ(Network(cfg).arena().occWordsPerRouter(), 2);
+  runLockstep(cfg);
+}
+
+// Every router row width the configuration space allows (kMaxDims = 8 and
+// V <= 16 bound a router at 17 x 16 = 272 units, five words) runs its own
+// instantiation of the batched link pass; each must match the dense oracle
+// exactly. Small radices keep the wide routers cheap: the 2-ary 8-cube is
+// 256 nodes of 272 units.
+TEST(EngineEquivalence, SparseMatchesDenseAtEveryRowWidth) {
+  struct WidthCase {
+    int words, radix, dims, vcs;
+    RoutingMode routing;
+    int faults;
+  };
+  const WidthCase cases[] = {
+      {2, 4, 3, 12, RoutingMode::Deterministic, 2},
+      {3, 3, 4, 16, RoutingMode::Adaptive, 2},
+      {4, 2, 6, 16, RoutingMode::Adaptive, 0},
+      {5, 2, 8, 16, RoutingMode::Deterministic, 0},
+  };
+  for (const WidthCase& w : cases) {
+    SimConfig cfg;
+    cfg.radix = w.radix;
+    cfg.dims = w.dims;
+    cfg.vcs = w.vcs;
+    cfg.routing = w.routing;
+    cfg.faults.randomNodes = w.faults;
+    cfg.reinjectDelay = 10;
+    cfg.messageLength = 8;
+    cfg.injectionRate = 0.01;
+    cfg.warmupMessages = 100;
+    cfg.measuredMessages = 2000;
+    cfg.maxCycles = 200'000;
+    cfg.seed = 21;
+    SCOPED_TRACE("W=" + std::to_string(w.words));
+    ASSERT_EQ(Network(cfg).arena().occWordsPerRouter(), w.words);
+    const SimResult dense = runWith(cfg, EngineKind::Dense);
+    EXPECT_TRUE(dense.completed);
+    EXPECT_GT(dense.deliveredMeasured, 0u);
+    expectIdentical(dense, runWith(cfg, EngineKind::Sparse));
   }
 }
 

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -68,23 +70,60 @@ std::string reproString(const SimConfig& cfg) {
   return os.str();
 }
 
+/// Which router row widths a config index draws. Four indices in every
+/// sixteen (a quarter of the sweep) draw multi-word routers — more than 64
+/// input units, so the batched link pass runs its W >= 2 instantiations.
+/// The scalar/vector rotation forces scalar on odd indices, so the slots
+/// pair each width with both modes: 2 two-word/vector, 5 three-word/scalar,
+/// 10 three-word/vector, 13 two-word/scalar. The reduced 10-config CI
+/// sweep reaches both widths, and any sweep of 14 or more configs reaches
+/// both widths in both modes.
+enum class RowDraw { Any, TwoWords, ThreeWords };
+
+RowDraw rowDrawFor(std::uint64_t index) {
+  switch (index % 16) {
+    case 2:
+    case 13:
+      return RowDraw::TwoWords;
+    case 5:
+    case 10:
+      return RowDraw::ThreeWords;
+    default:
+      return RowDraw::Any;
+  }
+}
+
 /// Draw one random-but-bounded configuration. Node counts stay <= ~256 and
 /// maxCycles is capped so a full 200-config sweep finishes in minutes, while
 /// still crossing every engine code path: wormhole streaming, VC allocation
-/// under contention, credit backpressure (depth 1), multi-word occupancy
-/// (vcs * ports > 64), faults with software-layer absorption/reinjection,
+/// under contention, credit backpressure (depth 1), multi-word router rows
+/// (see rowDrawFor), faults with software-layer absorption/reinjection,
 /// non-zero router decision time (exact-arrival mode), and saturated points
 /// that stop on max_cycles instead of the delivery target.
-SimConfig drawConfig(Rng& rng) {
+SimConfig drawConfig(Rng& rng, RowDraw rows) {
   SimConfig cfg;
-  cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
-  switch (cfg.dims) {
-    case 1: cfg.radix = 4 + static_cast<int>(rng.uniform(13)); break;  // k in [4, 16]
-    case 2: cfg.radix = 3 + static_cast<int>(rng.uniform(10)); break;  // k in [3, 12]
-    case 3: cfg.radix = 3 + static_cast<int>(rng.uniform(4));  break;  // k in [3, 6]
-    default: cfg.radix = 3; break;                                     // 3-ary 4-cube
+  if (rows == RowDraw::Any) {
+    cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
+    switch (cfg.dims) {
+      case 1: cfg.radix = 4 + static_cast<int>(rng.uniform(13)); break;  // k in [4, 16]
+      case 2: cfg.radix = 3 + static_cast<int>(rng.uniform(10)); break;  // k in [3, 12]
+      case 3: cfg.radix = 3 + static_cast<int>(rng.uniform(4));  break;  // k in [3, 6]
+      default: cfg.radix = 3; break;                                     // 3-ary 4-cube
+    }
+    cfg.vcs = 2 + static_cast<int>(rng.uniform(5));  // V in [2, 6]: one word
+  } else if (rows == RowDraw::TwoWords) {
+    // 3-ary 3-cube (7 ports) at V in [10, 16] or 3-ary 4-cube (9 ports) at
+    // V in [8, 14]: 65..128 units per router.
+    cfg.radix = 3;
+    cfg.dims = 3 + static_cast<int>(rng.uniform(2));
+    cfg.vcs = cfg.dims == 3 ? 10 + static_cast<int>(rng.uniform(7))
+                            : 8 + static_cast<int>(rng.uniform(7));
+  } else {
+    // 3-ary 4-cube at V in [15, 16]: 135 or 144 units per router.
+    cfg.radix = 3;
+    cfg.dims = 4;
+    cfg.vcs = 15 + static_cast<int>(rng.uniform(2));
   }
-  cfg.vcs = 2 + static_cast<int>(rng.uniform(5));  // V in [2, 6]
   // VcPartition: escapeVcs even, in [2, V].
   cfg.escapeVcs = 2 * (1 + static_cast<int>(rng.uniform(
                                static_cast<std::uint32_t>(cfg.vcs / 2))));
@@ -152,6 +191,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", 20060425);
 
   std::uint64_t ran = 0, skippedDisconnected = 0;
+  std::uint64_t ranByWidth[4] = {};  // index: router row words, capped at 3
   std::uint64_t totalDelivered = 0, completedRuns = 0;
   // Scalar-vs-vector rotation axis: odd indices force the SIMD layer's
   // scalar fallback for the sparse and mt runs of that config. The dense
@@ -165,7 +205,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     simd::setForceScalar(forcedScalar);
     Rng rng(baseSeed);
     rng = rng.split(i);
-    SimConfig cfg = drawConfig(rng);
+    SimConfig cfg = drawConfig(rng, rowDrawFor(i));
+    const int rowWords = ((2 * cfg.dims + 1) * cfg.vcs + 63) / 64;
     const std::string repro =
         "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
         ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
@@ -215,6 +256,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
                     repro + " engine=sparse-mt sim_threads=" +
                         std::to_string(simThreads2));
     ++ran;
+    ++ranByWidth[std::min(rowWords, 3)];
     totalDelivered += dense.deliveredMeasured;
     if (dense.completed) ++completedRuns;
 
@@ -227,6 +269,19 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   RecordProperty("configs_compared", static_cast<int>(ran));
   RecordProperty("configs_disconnected", static_cast<int>(skippedDisconnected));
   RecordProperty("configs_completed", static_cast<int>(completedRuns));
+  const std::uint64_t multiWord = ranByWidth[2] + ranByWidth[3];
+  RecordProperty("configs_multi_word", static_cast<int>(multiWord));
+  std::printf("fuzz: %llu configs compared, %llu multi-word (%llu two-word, "
+              "%llu three-word)\n",
+              static_cast<unsigned long long>(ran),
+              static_cast<unsigned long long>(multiWord),
+              static_cast<unsigned long long>(ranByWidth[2]),
+              static_cast<unsigned long long>(ranByWidth[3]));
+  // Every sweep long enough to reach slot 5 must have compared at least
+  // one multi-word config: otherwise the W >= 2 link pass went untested.
+  if (configs >= 6) {
+    EXPECT_GE(multiWord, 1u);
+  }
   // The sweep must mostly exercise real runs, not degenerate rejects, and
   // the comparisons must not be vacuous: messages actually flowed.
   EXPECT_GE(ran * 2, configs);
